@@ -51,10 +51,9 @@ fn bit_identical(a: &CgReport, b: &CgReport) -> bool {
 fn main() {
     let args = parse_args();
     let n = if args.smoke { 24 } else { 192 };
-    let tiers: [(&str, TierKind); 4] = [
+    let tiers: [(&str, TierKind); 3] = [
         ("eval", TierKind::Eval),
         ("opt-bytecode", TierKind::OptBytecode),
-        ("weighted-sum", TierKind::WeightedSum),
         ("template-jit", TierKind::TemplateJit),
     ];
     let strategies: [(&str, Option<Vec<i64>>); 3] = [

@@ -1,10 +1,11 @@
 //! `exec_throughput` — wall-clock Gpts/s of the sten-exec executor tiers.
 //!
-//! Measures jacobi-1d / heat-2d / heat-3d through every executor tier
-//! (`eval` → `opt-bytecode` → `weighted-sum` → `template-jit`) plus one
-//! multi-threaded run through the persistent worker pool, prints a
-//! table, and emits `BENCH_exec.json` so the perf trajectory is
-//! recorded in-repo.
+//! Measures jacobi-1d / heat-2d / heat-3d — plus a Devito wave-2d
+//! space-order-12 operator, which the template catalog misses and the
+//! template-JIT runs on its lane-DAG plan — through every executor tier
+//! (`eval` → `opt-bytecode` → `template-jit`) plus one multi-threaded
+//! run through the persistent worker pool, prints a table, and emits
+//! `BENCH_exec.json` so the perf trajectory is recorded in-repo.
 //!
 //! ```text
 //! cargo run --release -p sten-bench --bin exec_throughput            # full
@@ -13,24 +14,43 @@
 //!
 //! `--smoke` shrinks the grids and pins 1 rep so tier selection and the
 //! JSON emitter stay exercised in CI without burning minutes; numbers
-//! from smoke mode are *not* meaningful throughput. Two checks run in
+//! from smoke mode are *not* meaningful throughput. Three checks run in
 //! both modes:
 //!
 //! * every tier's output is compared bit-for-bit against the `eval`
 //!   reference before timing (recorded as `"bit_identical"` per
 //!   kernel);
-//! * a template-JIT vs weighted-sum gate: in full mode the JIT tier
-//!   must beat 0.9x on every kernel and 1.25x on at least two of the
-//!   three; in smoke mode only a loose 0.6x floor is asserted
-//!   (re-measured best-of-3 before failing) since tiny grids are
-//!   dominated by per-row dispatch noise.
+//! * the wave-2d so12 case must select the lane-DAG plan (its recorded
+//!   `"plan"` label contains `dag`);
+//! * a template-JIT vs opt-bytecode gate, both measured in the same
+//!   run: in full mode the JIT tier must reach 6x on every kernel and
+//!   9x on at least two of jacobi-1d/heat-2d/heat-3d; in smoke mode only
+//!   a loose 1.7x floor is asserted (re-measured best-of-3 before
+//!   failing) since tiny grids are dominated by per-row dispatch noise.
+//!
+//! The disabled-sink trace overhead (heat-2d, template-jit) is measured
+//! on interleaved pairs and reported as the signed median per-pair
+//! slowdown with its IQR; full mode gates the median at 2%.
 
 use std::fmt::Write as _;
 use std::time::Instant;
+use sten_bench::{iqr, median};
 use stencil_core::exec::{Pipeline, Runner, Step, TierKind};
 use stencil_core::ir::Pass as _;
 use stencil_core::prelude::*;
 use stencil_core::trace::chrome;
+
+/// Full-mode gate: template-jit over opt-bytecode on every kernel.
+const JIT_VS_OPT_FLOOR: f64 = 6.0;
+/// Full-mode gate: template-jit over opt-bytecode on at least
+/// [`JIT_VS_OPT_FAST_COUNT`] of the catalog kernels.
+const JIT_VS_OPT_FAST: f64 = 9.0;
+const JIT_VS_OPT_FAST_COUNT: usize = 2;
+/// Smoke-mode floor (best of 3): 0.6x the smallest per-kernel median
+/// smoke ratio of the previous top fast path over opt-bytecode (2.9x).
+const JIT_VS_OPT_SMOKE_FLOOR: f64 = 1.7;
+/// Full-mode bound on the median disabled-sink trace overhead.
+const TRACE_OVERHEAD_MAX_PCT: f64 = 2.0;
 
 struct Args {
     smoke: bool,
@@ -63,6 +83,9 @@ struct Case {
     name: &'static str,
     func: &'static str,
     module: Module,
+    /// Whether the template catalog misses this kernel, so the
+    /// template-JIT must run it on the lane-DAG plan.
+    dag: bool,
 }
 
 fn cases(smoke: bool) -> Vec<Case> {
@@ -77,11 +100,33 @@ fn cases(smoke: bool) -> Vec<Case> {
         .expect("heat-3d operator")
         .compile()
         .expect("heat-3d compiles");
+    // Space order 12: a 25-point star plus the previous timestep, wider
+    // than any catalog template.
+    let n2 = if smoke { 64 } else { 512 };
+    let wave2d = stencil_core::devito::problems::acoustic_wave(&[n2, n2], 12, 1.0)
+        .expect("wave-2d so12 operator")
+        .compile()
+        .expect("wave-2d so12 compiles");
     vec![
-        Case { name: "jacobi-1d", func: "jacobi", module: jacobi },
-        Case { name: "heat-2d", func: "heat", module: heat2d },
-        Case { name: "heat-3d", func: "step", module: heat3d },
+        Case { name: "jacobi-1d", func: "jacobi", module: jacobi, dag: false },
+        Case { name: "heat-2d", func: "heat", module: heat2d, dag: false },
+        Case { name: "heat-3d", func: "step", module: heat3d, dag: false },
+        Case { name: "wave2d-so12", func: "step", module: wave2d, dag: true },
     ]
+}
+
+/// The tier label of the first apply under automatic selection, e.g.
+/// `template-jit (26 taps, dag; rank 2)`.
+fn auto_plan(p: &Pipeline) -> String {
+    let mut p = p.clone();
+    p.respecialize(None);
+    p.steps
+        .iter()
+        .find_map(|s| match s {
+            Step::Apply { kernel, .. } => Some(kernel.tier_label()),
+            _ => None,
+        })
+        .unwrap_or_default()
 }
 
 fn selected_tier(p: &Pipeline) -> &'static str {
@@ -205,17 +250,59 @@ fn measure(
     }
 }
 
+/// Measures the disabled-sink trace overhead on heat-2d template-jit: two
+/// warm runners on the same pipeline, one with a disabled tracer
+/// attached, timed in `pairs` interleaved short bursts (the order
+/// alternating per pair) so machine drift lands on both sides of every
+/// pair. Returns the median untraced and attached Gpts/s and the
+/// per-pair slowdowns in percent (signed: negative means the attached
+/// burst was faster).
+fn trace_overhead(pipeline: &Pipeline, pairs: usize, smoke: bool) -> (f64, f64, Vec<f64>) {
+    let mut p = pipeline.clone();
+    p.respecialize(Some(TierKind::TemplateJit));
+    let points = p.points_per_step() as f64;
+    let mut args = seed_args(&p);
+    let mut plain = Runner::new(p.clone(), 1);
+    let mut attached = Runner::new(p, 1).with_trace(&Tracer::disabled(), 0);
+    let mut burst = |r: &mut Runner, steps: usize| {
+        let t0 = Instant::now();
+        for _ in 0..steps {
+            r.step(&mut args).expect("overhead step");
+        }
+        points * steps as f64 / t0.elapsed().as_secs_f64().max(1e-9) / 1e9
+    };
+    burst(&mut plain, 1);
+    burst(&mut attached, 1);
+    // Calibrate bursts to ~10 ms: short bursts keep each pair close in
+    // time, and many pairs keep the median tight on a noisy host.
+    let steps =
+        if smoke { 1 } else { ((0.01 * burst(&mut plain, 1) * 1e9 / points) as usize).max(1) };
+    let (mut base, mut traced, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        let (b, a) = if i % 2 == 0 {
+            let b = burst(&mut plain, steps);
+            (b, burst(&mut attached, steps))
+        } else {
+            let a = burst(&mut attached, steps);
+            (burst(&mut plain, steps), a)
+        };
+        base.push(b);
+        traced.push(a);
+        deltas.push((1.0 - a / b) * 100.0);
+    }
+    (median(&mut base), median(&mut traced), deltas)
+}
+
 fn main() {
     let args = parse_args();
-    let tiers: [(&'static str, Option<TierKind>); 4] = [
+    let tiers: [(&'static str, Option<TierKind>); 3] = [
         ("eval", Some(TierKind::Eval)),
         ("opt-bytecode", Some(TierKind::OptBytecode)),
-        ("weighted-sum", Some(TierKind::WeightedSum)),
         ("template-jit", Some(TierKind::TemplateJit)),
     ];
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sten-exec-throughput/v2\",");
+    let _ = writeln!(json, "  \"schema\": \"sten-exec-throughput/v3\",");
     let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
     // Actual pool size for the auto-parallel rows: requests <= 1 run
     // serially (no pool), larger requests spawn exactly that many.
@@ -223,9 +310,8 @@ fn main() {
     let _ = writeln!(json, "  \"parallel_threads\": {parallel_threads},");
     let _ = writeln!(json, "  \"kernels\": [");
     let mut rows = Vec::new();
-    let mut heat2d_speedup = None;
-    let mut trace_overhead = None;
-    let mut jit_vs_ws: Vec<(&'static str, f64)> = Vec::new();
+    let mut trace_overhead_stats = None;
+    let mut jit_vs_opt: Vec<(&'static str, bool, f64)> = Vec::new();
     let artifact_tracer = Tracer::new();
     let mut trace_names: Vec<(u32, String)> = Vec::new();
     let cases = cases(args.smoke);
@@ -233,6 +319,13 @@ fn main() {
         let pipeline = compile_pipeline(&case.module, case.func).expect("pipeline compiles");
         let grid = pipeline.arg_shapes[0].clone();
         let points = pipeline.points_per_step();
+        let plan = auto_plan(&pipeline);
+        assert_eq!(
+            plan.contains("dag"),
+            case.dag,
+            "{}: unexpected template-jit plan '{plan}'",
+            case.name
+        );
         check_bit_identity(&pipeline, &tiers[1..], args.threads, case.name);
         let mut ms: Vec<Measurement> = tiers
             .iter()
@@ -241,37 +334,37 @@ fn main() {
         let eval_gpts = ms[0].gpts_per_s;
         ms.push(measure(&pipeline, "auto-parallel", None, args.threads, args.smoke, None));
 
-        // Template-JIT perf gate vs the tier it replaces at the top of
-        // the ladder. Smoke grids are dispatch-noise dominated, so the
+        // Template-JIT perf gate against opt-bytecode measured in the
+        // same run. Smoke grids are dispatch-noise dominated, so the
         // smoke floor is loose and re-measured best-of-3 before failing.
-        let ws_g = ms.iter().find(|m| m.requested == "weighted-sum").unwrap().gpts_per_s;
+        let opt_g = ms.iter().find(|m| m.requested == "opt-bytecode").unwrap().gpts_per_s;
         let jit_g = ms.iter().find(|m| m.requested == "template-jit").unwrap().gpts_per_s;
-        let mut ratio = jit_g / ws_g;
+        let mut ratio = jit_g / opt_g;
         if args.smoke {
             for _ in 0..3 {
-                if ratio >= 0.6 {
+                if ratio >= JIT_VS_OPT_SMOKE_FLOOR {
                     break;
                 }
-                let ws =
-                    measure(&pipeline, "weighted-sum", Some(TierKind::WeightedSum), 1, true, None);
+                let opt =
+                    measure(&pipeline, "opt-bytecode", Some(TierKind::OptBytecode), 1, true, None);
                 let jit =
                     measure(&pipeline, "template-jit", Some(TierKind::TemplateJit), 1, true, None);
-                ratio = ratio.max(jit.gpts_per_s / ws.gpts_per_s);
+                ratio = ratio.max(jit.gpts_per_s / opt.gpts_per_s);
             }
             assert!(
-                ratio >= 0.6,
-                "{}: template-jit fell below the smoke noise floor vs weighted-sum \
-                 ({ratio:.2}x, best of 3)",
+                ratio >= JIT_VS_OPT_SMOKE_FLOOR,
+                "{}: template-jit fell below the smoke noise floor vs opt-bytecode \
+                 ({ratio:.2}x < {JIT_VS_OPT_SMOKE_FLOOR}x, best of 3)",
                 case.name
             );
         } else {
             assert!(
-                ratio >= 0.9,
-                "{}: template-jit must not regress vs weighted-sum ({ratio:.2}x)",
+                ratio >= JIT_VS_OPT_FLOOR,
+                "{}: template-jit must reach {JIT_VS_OPT_FLOOR}x over opt-bytecode ({ratio:.2}x)",
                 case.name
             );
         }
-        jit_vs_ws.push((case.name, ratio));
+        jit_vs_opt.push((case.name, case.dag, ratio));
 
         // A short traced re-run per kernel feeds the committed trace
         // artifact (one pid per kernel, worker lanes as sub-tracks).
@@ -285,27 +378,10 @@ fn main() {
         );
         trace_names.push((ci as u32, case.name.to_string()));
         if case.name == "heat-2d" {
-            let ws = ms.iter().find(|m| m.requested == "weighted-sum").unwrap();
-            heat2d_speedup = Some(ws.gpts_per_s / eval_gpts);
-
             // Disabled-sink overhead: attaching a disabled tracer to the
-            // runner must not cost throughput. Reps are interleaved
-            // (baseline, attached, baseline, ...) so slow machine drift
-            // lands on both sides; best-of-N drops scheduler noise.
-            let overhead_reps = if args.smoke { 1 } else { 5 };
-            let disabled = Tracer::disabled();
-            let run = |tr: Option<(&Tracer, u32)>| {
-                measure(&pipeline, "weighted-sum", Some(TierKind::WeightedSum), 1, args.smoke, tr)
-                    .gpts_per_s
-            };
-            let mut baseline = 0.0f64;
-            let mut attached = 0.0f64;
-            for _ in 0..overhead_reps {
-                baseline = baseline.max(run(None));
-                attached = attached.max(run(Some((&disabled, 0))));
-            }
-            let delta_pct = ((baseline - attached) / baseline * 100.0).max(0.0);
-            trace_overhead = Some((baseline, attached, delta_pct));
+            // runner must not cost throughput.
+            let pairs = if args.smoke { 3 } else { 201 };
+            trace_overhead_stats = Some(trace_overhead(&pipeline, pairs, args.smoke));
         }
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", case.name);
@@ -316,8 +392,9 @@ fn main() {
             grid.iter().map(|d| d.to_string()).collect::<Vec<_>>().join(", ")
         );
         let _ = writeln!(json, "      \"points_per_step\": {points},");
+        let _ = writeln!(json, "      \"plan\": \"{plan}\",");
         let _ = writeln!(json, "      \"bit_identical\": true,");
-        let _ = writeln!(json, "      \"jit_vs_weighted_sum\": {ratio:.3},");
+        let _ = writeln!(json, "      \"jit_vs_opt_bytecode\": {ratio:.3},");
         let _ = writeln!(json, "      \"measurements\": [");
         for (mi, m) in ms.iter().enumerate() {
             let _ = writeln!(
@@ -348,11 +425,15 @@ fn main() {
         let _ = writeln!(json, "    }}{}", if ci + 1 == cases.len() { "" } else { "," });
     }
     let _ = writeln!(json, "  ],");
-    let (ov_base, ov_attached, ov_delta) = trace_overhead.expect("heat-2d case measured");
+    let (ov_base, ov_attached, mut ov_deltas) = trace_overhead_stats.expect("heat-2d measured");
+    let ov_pairs = ov_deltas.len();
+    let ov_iqr = iqr(&mut ov_deltas);
+    let ov_delta = median(&mut ov_deltas);
     let _ = writeln!(
         json,
-        "  \"trace_overhead\": {{\"baseline_gpts_per_s\": {ov_base:.6}, \
-         \"disabled_sink_gpts_per_s\": {ov_attached:.6}, \"delta_pct\": {ov_delta:.3}}}"
+        "  \"trace_overhead\": {{\"tier\": \"template-jit\", \"pairs\": {ov_pairs}, \
+         \"baseline_gpts_per_s\": {ov_base:.6}, \"disabled_sink_gpts_per_s\": {ov_attached:.6}, \
+         \"delta_pct\": {ov_delta:.3}, \"delta_iqr_pct\": {ov_iqr:.3}}}"
     );
     let _ = writeln!(json, "}}");
     sten_bench::print_table(
@@ -363,29 +444,26 @@ fn main() {
         &["kernel", "requested", "selected", "thr", "reps", "Gpts/s", "vs eval"],
         &rows,
     );
-    if let Some(s) = heat2d_speedup {
-        println!("\nheat-2d weighted-sum vs eval (serial): {s:.2}x");
-    }
-    for (name, r) in &jit_vs_ws {
-        println!("{name} template-jit vs weighted-sum (serial): {r:.2}x");
+    for (name, _, r) in &jit_vs_opt {
+        println!("{name} template-jit vs opt-bytecode (serial): {r:.2}x");
     }
     if !args.smoke {
-        let fast = jit_vs_ws.iter().filter(|&&(_, r)| r >= 1.25).count();
+        let fast = jit_vs_opt.iter().filter(|&&(_, dag, r)| !dag && r >= JIT_VS_OPT_FAST).count();
         assert!(
-            fast >= 2,
-            "template-jit must reach >= 1.25x over weighted-sum on at least 2 of \
-             {} kernels; got {fast} ({jit_vs_ws:?})",
-            jit_vs_ws.len()
+            fast >= JIT_VS_OPT_FAST_COUNT,
+            "template-jit must reach >= {JIT_VS_OPT_FAST}x over opt-bytecode on at least \
+             {JIT_VS_OPT_FAST_COUNT} catalog kernels; got {fast} ({jit_vs_opt:?})"
         );
     }
     println!(
-        "disabled-sink trace overhead on heat-2d weighted-sum: {ov_delta:.2}% \
-         ({ov_base:.4} vs {ov_attached:.4} Gpts/s)"
+        "disabled-sink trace overhead on heat-2d template-jit: median {ov_delta:+.2}% \
+         (IQR {ov_iqr:.2}%, {ov_pairs} interleaved pairs; {ov_base:.4} vs {ov_attached:.4} Gpts/s)"
     );
     if !args.smoke {
         assert!(
-            ov_delta <= 2.0,
-            "a disabled trace sink must cost <= 2% throughput, measured {ov_delta:.2}%"
+            ov_delta <= TRACE_OVERHEAD_MAX_PCT,
+            "a disabled trace sink must cost <= {TRACE_OVERHEAD_MAX_PCT}% throughput, \
+             measured a median of {ov_delta:.2}% (IQR {ov_iqr:.2}%)"
         );
     }
     std::fs::write(&args.out, json).expect("write BENCH_exec.json");

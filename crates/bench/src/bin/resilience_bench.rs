@@ -28,6 +28,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sten_bench::median;
 use stencil_core::exec::{
     run_resilient, CheckpointStore, ExecError, Pipeline, ResilientConfig, ResilientReport,
 };
@@ -113,11 +114,6 @@ fn run_spmd(
         *out0 = args;
     });
     (step_secs, outs)
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 fn resilient_cfg(steps: u64, interval: u64) -> ResilientConfig {

@@ -93,6 +93,27 @@ pub fn traadv_profile(points: f64) -> KernelProfile {
     KernelProfile::from_pipeline("traadv", 3, &pipeline).scaled_points(points)
 }
 
+/// The median of `samples` (the upper one for an even count), sorting
+/// them in place.
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
+/// The interquartile range of `samples` (nearest-rank quartiles),
+/// sorting them in place.
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn iqr(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    let n = samples.len();
+    samples[(3 * n) / 4] - samples[n / 4]
+}
+
 /// Formats a throughput in GPts/s to 3 significant digits.
 pub fn gpts(v: f64) -> String {
     if v >= 100.0 {
@@ -121,6 +142,15 @@ mod tests {
         assert_eq!(pw.regions, 1, "fused PW is one region");
         let ta = traadv_profile(1e6);
         assert_eq!(ta.regions, 18);
+    }
+
+    #[test]
+    fn median_and_iqr_of_unsorted_samples() {
+        let mut s = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(median(&mut s), 3.0);
+        assert_eq!(iqr(&mut s), 2.0);
+        assert_eq!(median(&mut [2.0, 1.0]), 2.0);
+        assert_eq!(iqr(&mut [7.0]), 0.0);
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //!   intensities from *real* IR rather than hand-waved estimates);
 //! * [`specialize`] — the kernel specialization engine: compiles each
 //!   [`program::KernelProgram`] into the fastest applicable executor
-//!   tier (`eval` → `opt-bytecode` → `weighted-sum` → `template-jit`)
-//!   at pipeline-build time, bit-for-bit identical to the reference
-//!   interpreter;
-//! * [`jit`] — the template-JIT tier's catalog of monomorphized fused
-//!   micro-kernels (const-generic tap chains, two-level fold templates,
-//!   optional explicit AVX2 lanes behind the `simd` cargo feature +
-//!   runtime CPU detection);
+//!   tier (`eval` → `opt-bytecode` → `template-jit`) at pipeline-build
+//!   time, bit-for-bit identical to the reference interpreter; its
+//!   weighted sum analysis decides which kernels the template-JIT takes;
+//! * [`jit`] — the template-JIT tier's fused row kernels: a catalog of
+//!   monomorphized micro-kernels (const-generic tap chains, two-level
+//!   fold templates) plus a generic lane-DAG plan for every other
+//!   weighted sum, with optional explicit AVX2 lanes behind the `simd`
+//!   cargo feature + runtime CPU detection;
 //! * [`pipeline`] — compiles a whole stencil-level function
 //!   (`load`/`apply`/`store`/`dmp.swap` sequences) into an executable
 //!   [`pipeline::Pipeline`]; [`pipeline::Runner`] executes timesteps

@@ -132,7 +132,8 @@ pub struct ExecScratch {
     /// [`CompiledKernel::scalar_args`]), set by the caller before
     /// execution and preloaded into the scalar registers once per chunk.
     pub scalars: Vec<f64>,
-    /// Weighted-sum slot array (taps, consts, combine nodes).
+    /// Template-JIT lane-DAG slot rows (taps, index values, consts,
+    /// combine nodes).
     pub slots: Vec<f64>,
     /// Per-input centre flat index of the current row start.
     pub flats: Vec<i64>,

@@ -787,7 +787,11 @@ impl Parser {
         let mut result_names = Vec::new();
         if let Tok::Percent(_) = self.peek() {
             loop {
-                let Tok::Percent(name) = self.bump() else { unreachable!() };
+                if !matches!(self.peek(), Tok::Percent(_)) {
+                    let found = format!("expected a result name, found {:?}", self.peek());
+                    return Err(self.err_here(found));
+                }
+                let Tok::Percent(name) = self.bump() else { unreachable!("just peeked") };
                 result_names.push(name);
                 match self.peek() {
                     Tok::Comma => {
@@ -1037,6 +1041,17 @@ mod tests {
 "#;
         let err = parse_module(text).unwrap_err();
         assert!(err.message.contains("undefined value"), "{err}");
+    }
+
+    #[test]
+    fn rejects_malformed_result_list() {
+        let text = r#""builtin.module"() ({
+  %2 , = "arith.constant"() {value = 1 : i32} : () -> (i32)
+}) : () -> ()
+"#;
+        let err = parse_module(text).unwrap_err();
+        assert!(err.message.contains("expected a result name, found Equal"), "{err}");
+        assert_eq!((err.line, err.col), (2, 8), "{err}");
     }
 
     #[test]

@@ -334,6 +334,27 @@ fn malformed_ir_and_missing_pipeline_fail_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
 
+    // A malformed result list (`%2 , =`) is a diagnostic, not a panic.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/heat_48.ir");
+    let ir = std::fs::read_to_string(fixture).unwrap().replacen(
+        "%2 = \"stencil.load\"",
+        "%2 , = \"stencil.load\"",
+        1,
+    );
+    assert!(ir.contains("%2 , ="), "fixture edit applied");
+    let mut child = sten_opt()
+        .args(["-p", "canonicalize"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(ir.as_bytes()).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("parse error") && stderr.contains("found Equal"), "{stderr}");
+
     let out = sten_opt().output().unwrap();
     assert!(!out.status.success(), "no pipeline given must fail");
     assert!(String::from_utf8_lossy(&out.stderr).contains("no pipeline"));

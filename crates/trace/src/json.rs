@@ -59,7 +59,7 @@ impl Value {
 /// # Errors
 /// Reports the byte offset and nature of the first syntax error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), at: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), at: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -70,6 +70,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -217,13 +218,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.at += ch.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or escape at once. UTF-8 continuation bytes
+                    // never equal `"` or `\`, so the run ends on a char
+                    // boundary of the (already valid) input.
+                    let run = self.bytes[self.at..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.at);
+                    out.push_str(&self.text[self.at..self.at + run]);
+                    self.at += run;
                 }
             }
         }
@@ -297,6 +301,28 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parses_multi_megabyte_strings_in_linear_time() {
+        let big = "x".repeat(4 << 20);
+        let doc = format!("{{\"k\": \"{big}\", \"n\": 1}}");
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(v.get("k").unwrap().as_str().map(str::len), Some(4 << 20));
+        assert_eq!(v.get("n").unwrap().as_f64(), Some(1.0));
+        assert!(secs < 0.5, "4 MiB string value took {secs:.2} s");
+    }
+
+    #[test]
+    fn multi_byte_utf8_round_trips() {
+        let original = "µs — Δt ≤ 2% 🚀 \"q\" ñ";
+        let doc = format!("[\"{}\", \"{}\"]", escape(original), escape(original));
+        let v = parse(&doc).unwrap();
+        for item in v.as_arr().unwrap() {
+            assert_eq!(item.as_str(), Some(original));
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn strategy_names() -> Vec<&'static str> {
 fn tiers() -> Vec<TierKind> {
     match TierKind::from_env() {
         Some(t) => vec![t],
-        None => vec![TierKind::Eval, TierKind::OptBytecode, TierKind::WeightedSum],
+        None => vec![TierKind::Eval, TierKind::OptBytecode, TierKind::TemplateJit],
     }
 }
 

@@ -19,25 +19,47 @@ struct RandStencil {
     /// (offset per dim, coefficient) terms.
     terms: Vec<(Vec<i64>, f64)>,
     dims: usize,
+    /// Whether the first term divides by its coefficient (`u / c`)
+    /// instead of scaling (`c · u`).
+    div_first: bool,
+}
+
+impl RandStencil {
+    /// Whether the kernel falls outside the template-JIT catalog (more
+    /// than 16 fold terms, or a division), so it runs on the lane DAG.
+    fn beyond_catalog(&self) -> bool {
+        self.terms.len() > 16 || self.div_first
+    }
 }
 
 fn rand_stencil(dims: usize, rng: &mut Rng) -> RandStencil {
-    let num_terms = rng.range_usize(1, 6);
+    // A seeded share of cases goes beyond the template catalog: a wide
+    // stencil (18–24 terms after mirroring) or a `/ const` term.
+    let (num_terms, div_first) = match rng.range_usize(0, 4) {
+        0 => (rng.range_usize(9, 13), false),
+        1 => (rng.range_usize(1, 6), true),
+        _ => (rng.range_usize(1, 6), false),
+    };
     let mut terms: Vec<(Vec<i64>, f64)> = (0..num_terms)
         .map(|_| {
             let offset: Vec<i64> = (0..dims).map(|_| rng.range_i64(-2, 3)).collect();
             (offset, rng.range_f64(-2.0, 2.0))
         })
         .collect();
+    if div_first {
+        // Keep the divisor away from zero.
+        terms[0].1 = rng.range_f64(0.5, 2.0);
+    }
     // The dmp exchange is a symmetric pairwise swap (as in the paper),
     // so keep the generated halo symmetric: mirror every term.
     let mirrored: Vec<(Vec<i64>, f64)> =
         terms.iter().map(|(o, c)| (o.iter().map(|x| -x).collect(), 0.5 * c)).collect();
     terms.extend(mirrored);
-    RandStencil { terms, dims }
+    RandStencil { terms, dims, div_first }
 }
 
-/// Builds `out = Σ c_i · u[x + o_i]` over an interior store range.
+/// Builds `out = Σ c_i · u[x + o_i]` over an interior store range (the
+/// first term `u[x + o_0] / c_0` when `div_first`).
 fn build(st: &RandStencil, n: i64) -> Module {
     let dims = st.dims;
     let radius = 2i64;
@@ -50,6 +72,7 @@ fn build(st: &RandStencil, n: i64) -> Module {
     let t = ld.result(0);
     f.region_block_mut(0).ops.push(ld);
     let terms = st.terms.clone();
+    let div_first = st.div_first;
     let ap = ops::apply(
         &mut m.values,
         vec![t],
@@ -57,14 +80,18 @@ fn build(st: &RandStencil, n: i64) -> Module {
         move |vt, a| {
             let mut body = Vec::new();
             let mut acc: Option<stencil_stack::ir::Value> = None;
-            for (off, c) in &terms {
+            for (i, (off, c)) in terms.iter().enumerate() {
                 let access = ops::access(vt, a[0], off.clone());
                 let av = access.result(0);
                 body.push(access);
                 let cv_op = arith::const_f64(vt, *c);
                 let cv = cv_op.result(0);
                 body.push(cv_op);
-                let mul = arith::mulf(vt, cv, av);
+                let mul = if i == 0 && div_first {
+                    arith::divf(vt, av, cv)
+                } else {
+                    arith::mulf(vt, cv, av)
+                };
                 let mv = mul.result(0);
                 body.push(mul);
                 acc = Some(match acc {
@@ -108,9 +135,9 @@ fn reference(st: &RandStencil, n: i64, input: &[f64]) -> Vec<f64> {
     let mut p = vec![0i64; dims];
     loop {
         let mut v = 0.0;
-        for (off, c) in &st.terms {
+        for (i, (off, c)) in st.terms.iter().enumerate() {
             let q: Vec<i64> = (0..dims).map(|d| p[d] + off[d]).collect();
-            v += c * input[idx(&q)];
+            v += if i == 0 && st.div_first { input[idx(&q)] / c } else { c * input[idx(&q)] };
         }
         out[idx(&p)] = v;
         let mut d = dims;
@@ -205,9 +232,11 @@ fn random_1d_stencils_agree_at_all_levels() {
 /// Every specialized executor tier must be **bit-for-bit** identical to
 /// the seed `KernelProgram::eval` path — serial and through the worker
 /// pool at 2 and 4 threads — on random stencils of every rank the
-/// monomorphized row walkers cover (1D/2D/3D).
+/// monomorphized row walkers cover (1D/2D/3D), both inside the
+/// template-JIT catalog and beyond it (lane-DAG plan).
 #[test]
 fn specialized_tiers_bit_identical_to_eval() {
+    let mut dag_cases = 0;
     for (dims, n, seeds) in [(1usize, 24i64, 10u64), (2, 12, 10), (3, 6, 6)] {
         for seed in 0..seeds {
             let mut rng = Rng::new(9000 + seed * 37 + dims as u64);
@@ -224,12 +253,7 @@ fn specialized_tiers_bit_identical_to_eval() {
             let mut want = vec![input.clone(), input.clone()];
             Runner::new(evalp, 1).step(&mut want).unwrap();
 
-            for tier in [
-                TierKind::Eval,
-                TierKind::OptBytecode,
-                TierKind::WeightedSum,
-                TierKind::TemplateJit,
-            ] {
+            for tier in [TierKind::Eval, TierKind::OptBytecode, TierKind::TemplateJit] {
                 for threads in [1usize, 2, 4] {
                     let mut p = pipeline.clone();
                     p.respecialize(Some(tier));
@@ -241,19 +265,23 @@ fn specialized_tiers_bit_identical_to_eval() {
                     );
                 }
             }
-            // Random mul-add chains are flat scaled-tap folds, well
-            // inside the template-JIT grammar (<= 12 terms), so automatic
+            // Every random stencil is a weighted sum, so automatic
             // selection must reach the top tier (unless the run pins one
-            // through the environment).
+            // through the environment): narrow mul-add chains (<= 12
+            // terms) on a catalog plan, wide or dividing ones on the
+            // lane DAG.
             if std::env::var("STEN_EXEC_TIER").is_err() {
                 let lines = pipeline.tier_summary();
+                let dag = st.beyond_catalog();
                 assert!(
-                    lines.iter().all(|l| l.contains("template-jit")),
-                    "dims {dims} seed {seed}: {lines:?}"
+                    lines.iter().all(|l| l.contains("template-jit") && l.contains("dag") == dag),
+                    "dims {dims} seed {seed} (beyond catalog: {dag}): {lines:?}"
                 );
             }
+            dag_cases += usize::from(st.beyond_catalog());
         }
     }
+    assert!(dag_cases >= 4, "only {dag_cases} lane-DAG cases drawn");
 }
 
 #[test]

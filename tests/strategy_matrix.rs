@@ -17,7 +17,7 @@
 //!
 //! A second matrix leg runs the same uneven domain through the compiled
 //! executor (`Runner::step_distributed`) per top tier — template-JIT
-//! and weighted-sum, or the tier `STEN_EXEC_TIER` pins.
+//! and opt-bytecode, or the tier `STEN_EXEC_TIER` pins.
 
 use std::sync::Arc;
 use stencil_stack::prelude::*;
@@ -56,16 +56,16 @@ fn strategy_names() -> Vec<&'static str> {
 }
 
 /// Executor tiers for the compiled-executor matrix run: the top two
-/// rungs of the ladder by default (template-JIT plus the weighted-sum
+/// rungs of the ladder by default (template-JIT plus the opt-bytecode
 /// tier it falls back to), or just the pinned one when CI sets
 /// `STEN_EXEC_TIER`.
 fn exec_tiers() -> Vec<TierKind> {
     match std::env::var("STEN_EXEC_TIER") {
         Ok(v) => match TierKind::parse(&v).expect("valid STEN_EXEC_TIER") {
             Some(t) => vec![t],
-            None => vec![TierKind::TemplateJit, TierKind::WeightedSum],
+            None => vec![TierKind::TemplateJit, TierKind::OptBytecode],
         },
-        Err(_) => vec![TierKind::TemplateJit, TierKind::WeightedSum],
+        Err(_) => vec![TierKind::TemplateJit, TierKind::OptBytecode],
     }
 }
 
